@@ -172,8 +172,11 @@ def run_case(spec: CaseSpec,
     outcome = CaseOutcome(spec=spec)
     out = outcome.detected
 
+    # One build serves every config: no config mutates a Workload or its
+    # kernels (tests pin this), and the fast executor's compiled
+    # programs, cached per kernel, carry over from config to config.
+    workload = build_workload(spec)
     for name in configs:
-        workload = build_workload(spec)   # fresh: launches mutate nothing
         if name == "base":
             runner = WorkloadRunner(workload, config=config, shield=None,
                                     config_name="base", seed=seed,
@@ -188,6 +191,8 @@ def run_case(spec: CaseSpec,
                 outcome.attribution_ok = any(
                     want.matches(v) for v in runner.last_violations)
             if check_determinism:
+                # A fresh build: the re-run must not lean on anything
+                # the first run left behind.
                 again, record2, _m = _run_shield(
                     spec, build_workload(spec), config)
                 # Seed-plumbing invariant: the campaign seed reaches the

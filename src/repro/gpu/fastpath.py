@@ -20,10 +20,15 @@ exactly the same arithmetic with flat pre-bound structures:
   the coalescer and both timing stages inlined into a single loop, and
   batched lane load/store loops that index the sparse physical-memory
   chunks directly;
-* :class:`FastExecutor` — inline effective-address generation (the
+* :class:`FastExecutor` — instructions compiled to closures once per
+  kernel and launch shape (cached on the ``Kernel`` instance, so a
+  relaunch pays no compile), inline effective-address generation (the
   ``tagged_add(...) & VA_MASK`` composition reduces to one masked add),
   whole-warp ALU vectorization via ``list(map(...))``, and a cached
   all-lanes active list.
+
+Device resets flush the flat probe structures in place, visiting only
+the sets that hold lines.
 
 **Bit-identity contract**: every class here must produce exactly the
 cycle counts, stats-counter values, functional memory contents and
@@ -39,7 +44,8 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
                             KernelSecurityContext)
@@ -119,7 +125,10 @@ class FastCache(Cache):
         return line_addr in s
 
     def flush(self) -> None:
-        for s in self._lines:
+        # In place, and only the sets something touched: the pipelines
+        # hold bound references to these dicts (``_l2_bundle``), and a
+        # small kernel leaves most of a large L2's sets empty.
+        for s in filter(None, self._lines):
             s.clear()
 
 
@@ -148,7 +157,7 @@ class FastTlb(Tlb):
         return False
 
     def flush(self) -> None:
-        for s in self._lines:
+        for s in filter(None, self._lines):
             s.clear()
 
 
@@ -886,30 +895,57 @@ _EXIT = ("exit", None)
 _MEM_NOP = ("alu", "mem-nop")
 
 
+class _LaunchShape(NamedTuple):
+    """The executor fields compiled closures read — nothing else of a
+    launch reaches them — and so the key of a kernel's program cache."""
+
+    warp_size: int
+    wg_size: int
+    workgroups: int
+
+
 class FastExecutor(Executor):
     """Reference executor compiled to per-instruction closures.
 
-    The instruction list is fixed at construction, so every per-step
-    decision the reference dispatcher re-derives — opcode branch,
-    operand kinds, predicate shape, destination index — is resolved
-    exactly once into a specialized closure.  ``step`` then indexes a
+    The instruction list is fixed for the kernel's lifetime, so every
+    per-step decision the reference dispatcher re-derives — opcode
+    branch, operand kinds, predicate shape, destination index — is
+    resolved once into a specialized closure.  ``step`` then indexes a
     flat program array.  Control flow, ``bar``, ``exit`` and ``malloc``
     stay on the reference dispatcher (they are off the hot path and
     manage the pc themselves).
+
+    The closures read only the launch shape (warp size, workgroup size,
+    workgroup count), so a kernel compiles once per shape: the program
+    and its special-register memo are cached on the kernel instance and
+    freed with it.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._all_lanes = list(range(self.warp_size))
         self._num_instr = len(self.instructions)
-        # Special-register vectors ([gtid], [tid], ...) are pure in
-        # (name, wg, warp_in_wg) and every consumer treats operand
-        # vectors as read-only (destinations are always fresh lists or
-        # element-wise writes), so they memoize safely.
-        self._special_memo: Dict[tuple, List] = {}
-        self._program = [self._compile(i) for i in self.instructions]
+        shape = _LaunchShape(self.warp_size, self.wg_size, self.workgroups)
+        # A private instance attribute, not a dataclass field: Kernel
+        # equality and repr never see it.
+        programs = vars(self.kernel).setdefault("_fast_programs", {})
+        compiled = programs.get(shape)
+        if compiled is None:
+            self._shape = shape
+            self._all_lanes = list(range(self.warp_size))
+            # Special-register vectors ([gtid], [tid], ...) are pure in
+            # (name, wg, warp_in_wg) for a given shape and every
+            # consumer treats operand vectors as read-only (destinations
+            # are always fresh lists or element-wise writes), so they
+            # memoize safely across launches.
+            self._special_memo: Dict[tuple, List] = {}
+            compiled = programs[shape] = (
+                [self._compile(i) for i in self.instructions],
+                self._special_memo)
+        self._program, self._special_memo = compiled
 
     # -- compilation ----------------------------------------------------------
+    # The closures built here must not capture ``self``: they outlive
+    # this executor in the kernel's cache.
 
     def _getter(self, operand):
         """Operand -> ``fn(warp) -> vector`` with the kind pre-resolved."""
@@ -921,7 +957,8 @@ class FastExecutor(Executor):
             return lambda warp: const
         name = operand.name
         memo = self._special_memo
-        special_values = self._special_values
+        # The reference reads only the shape's fields off its executor.
+        special_values = partial(Executor._special_values, self._shape)
 
         def special(warp):
             key = (name, warp.wg, warp.warp_in_wg)

@@ -10,10 +10,9 @@ Supports the three execution modes of the evaluation:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.core.shield import GPUShield
 from repro.engine import resolve as resolve_engine
@@ -28,9 +27,65 @@ if TYPE_CHECKING:  # avoid a circular import; the driver imports gpu.memory
     from repro.driver.driver import GpuDriver, LaunchContext
 
 
+class Counters(NamedTuple):
+    """The per-core counters a launch result or run record reports,
+    summed over cores and read straight from the component stats
+    objects — no registry snapshot.  Each total equals the matching
+    ``StatsRegistry.snapshot()`` wildcard sum, and subtracting two reads
+    gives the counts of the launches in between."""
+
+    instructions: int
+    mem_instructions: int
+    transactions: int
+    issue_bcu_stall_cycles: int     # cores.*.issue.bcu_stall_cycles
+    l1d_hits: int
+    l1d_misses: int
+    l1_rcache_hits: int
+    l1_rcache_misses: int
+    l2_rcache_hits: int
+    l2_rcache_misses: int
+    bcu_mem_instructions: int
+    checks_skipped_static: int
+    rbt_fills: int
+    bcu_stall_cycles: int           # cores.*.bcu.stall_cycles
+    violations: int                 # shield log length
+
+    def __sub__(self, other: "Counters") -> "Counters":
+        return Counters(*map(operator.sub, self, other))
+
+    @property
+    def l1d_hit_rate(self) -> float:
+        return _hit_rate(self.l1d_hits, self.l1d_misses)
+
+    @property
+    def l1_rcache_hit_rate(self) -> float:
+        return _hit_rate(self.l1_rcache_hits, self.l1_rcache_misses)
+
+    @property
+    def l2_rcache_hit_rate(self) -> float:
+        return _hit_rate(self.l2_rcache_hits, self.l2_rcache_misses)
+
+    @property
+    def check_reduction_percent(self) -> float:
+        """Share of BCU-seen memory instructions whose check the static
+        analysis elided (Type-1 pointers, §5.3)."""
+        if self.bcu_mem_instructions == 0:
+            return 0.0
+        return 100.0 * self.checks_skipped_static / self.bcu_mem_instructions
+
+
+def _hit_rate(hits: int, misses: int) -> float:
+    """``StatsSnapshot.hit_rate``'s convention: 1.0 when never accessed."""
+    accesses = hits + misses
+    return hits / accesses if accesses else 1.0
+
+
 @dataclass
 class LaunchResult:
-    """Aggregate outcome of one GPU.run() invocation."""
+    """Aggregate outcome of one GPU.run() invocation.
+
+    Every counter, rate and fill field covers this launch alone (a
+    delta of the device's cumulative counters over the run)."""
 
     cycles: int
     instructions: int
@@ -212,8 +267,8 @@ class GPU:
         jobs = [self._make_job(launch) for launch in launches]
         assignments = self._assign(jobs, mode)
 
-        # Core counters are cumulative across runs; snapshot for deltas.
-        before = self._counters()
+        # Core counters are cumulative across runs; read them for deltas.
+        before = self.counters()
         aborted = False
         error = ""
         per_core: List[int] = []
@@ -236,9 +291,25 @@ class GPU:
                 per_core.append(core.stats.cycles)
                 break
 
-        result = self._collect(per_core, aborted, error, before)
-        result.divergent_branches = sum(j.executor.divergent_branches
-                                        for j in jobs)
+        delta = self.counters() - before
+        result = LaunchResult(
+            cycles=max(per_core) if per_core else 0,
+            instructions=delta.instructions,
+            mem_instructions=delta.mem_instructions,
+            transactions=delta.transactions,
+            aborted=aborted,
+            error=error,
+            per_core_cycles=per_core,
+            l1d_hit_rate=delta.l1d_hit_rate,
+            l1_rcache_hit_rate=delta.l1_rcache_hit_rate,
+            l2_rcache_hit_rate=delta.l2_rcache_hit_rate,
+            check_reduction_percent=delta.check_reduction_percent,
+            bcu_stall_cycles=delta.issue_bcu_stall_cycles,
+            rbt_fills=delta.rbt_fills,
+            violations=delta.violations,
+            divergent_branches=sum(j.executor.divergent_branches
+                                   for j in jobs),
+        )
         if self._race_detector is not None:
             # Kernel boundaries are happens-before edges: a retired
             # launch's shadow can be dropped — nothing races with it.
@@ -313,34 +384,37 @@ class GPU:
 
     # -- statistics ---------------------------------------------------------------------
 
-    def _counters(self) -> Tuple[int, int, int, int]:
-        snap = self.stats.snapshot()
-        return (int(snap.total("cores.*.issue.instructions")),
-                int(snap.total("cores.*.issue.mem_instructions")),
-                int(snap.total("cores.*.issue.transactions")),
-                int(snap.total("cores.*.issue.bcu_stall_cycles")))
+    def counters(self) -> Counters:
+        """Sum the reported per-core counters from the live stats objects.
 
-    def _collect(self, per_core: List[int], aborted: bool, error: str,
-                 before: Tuple[int, int, int, int]) -> LaunchResult:
-        after = self._counters()
-        instructions, mem, txs, stalls = (a - b for a, b in
-                                          zip(after, before))
-        snap = self.stats.snapshot()
-        return LaunchResult(
-            cycles=max(per_core) if per_core else 0,
-            instructions=instructions,
-            mem_instructions=mem,
-            transactions=txs,
-            aborted=aborted,
-            error=error,
-            per_core_cycles=per_core,
-            l1d_hit_rate=snap.hit_rate("cores.*.l1d"),
-            l1_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l1"),
-            l2_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l2"),
-            check_reduction_percent=snap.ratio_percent(
-                "cores.*.bcu.checks_skipped_static",
-                "cores.*.bcu.mem_instructions"),
-            bcu_stall_cycles=stalls,
-            rbt_fills=int(snap.total("cores.*.bcu.rbt_fills")),
-            violations=int(snap.get("shield.log.violations", 0)),
-        )
+        A handful of attribute reads per core: ``GPU.run`` takes one
+        before and one after every launch, and the harness one per run,
+        where a registry snapshot would flatten every registered source.
+        """
+        ins = mem = txs = stalls = l1h = l1m = 0
+        r1h = r1m = r2h = r2m = bmem = skipped = fills = bstalls = 0
+        for core in self.cores:
+            issue = core.stats
+            ins += issue.instructions
+            mem += issue.mem_instructions
+            txs += issue.transactions
+            stalls += issue.bcu_stall_cycles
+            l1d = core.pipeline.l1d.stats
+            l1h += l1d.hits
+            l1m += l1d.misses
+            bcu = core.bcu
+            if bcu is not None:
+                # Read through the unit: its reset swaps the stats object.
+                b = bcu.stats
+                bmem += b.mem_instructions
+                skipped += b.checks_skipped_static
+                fills += b.rbt_fills
+                bstalls += b.stall_cycles
+                r1, r2 = bcu.l1.stats, bcu.l2.stats
+                r1h += r1.hits
+                r1m += r1.misses
+                r2h += r2.hits
+                r2m += r2.misses
+        violations = len(self.shield.log) if self.shield.enabled else 0
+        return Counters(ins, mem, txs, stalls, l1h, l1m, r1h, r1m, r2h, r2m,
+                        bmem, skipped, fills, bstalls, violations)

@@ -31,6 +31,7 @@ from repro.gpu.fastpath import (
     FastTlb,
 )
 from repro.gpu.tlb import Tlb
+from tests.conftest import build_vecadd
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +316,105 @@ class TestTracerParity:
         fast = capture("fuzz:9", engine="fast", stage_level=False)
         assert slow.wire_events() == fast.wire_events()
         assert slow.content_hash() == fast.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# Compile once: the fast executor's per-kernel program cache
+# ---------------------------------------------------------------------------
+
+
+def _vecadd_run(kernel, workgroups=2, wg_size=64):
+    """One fast-engine launch on a fresh device: (cycles, stats, memory)."""
+    import struct
+
+    from repro import GpuSession, ShieldConfig
+    from repro.gpu.config import nvidia_config
+
+    session = GpuSession(nvidia_config(num_cores=2, engine="fast"),
+                         shield=ShieldConfig(enabled=True), seed=5)
+    n = workgroups * wg_size
+    bufs = {name: session.driver.malloc(n * 4) for name in "abc"}
+    for name in "ab":
+        session.driver.write(bufs[name],
+                             struct.pack(f"<{n}i", *range(n)))
+    result, violations = session.run(kernel, dict(bufs, n=n - 3),
+                                     workgroups, wg_size)
+    assert result.ok and not violations
+    return (result.cycles, session.stats.snapshot().as_dict(),
+            session.driver.read(bufs["c"], n * 4))
+
+
+def _programs(kernel):
+    return vars(kernel).get("_fast_programs", {})
+
+
+class TestCompileOnce:
+    def test_reused_program_is_bit_identical_to_a_cold_compile(
+            self, monkeypatch):
+        from repro.gpu.fastpath import FastExecutor
+
+        compiles = []
+        original = FastExecutor._compile
+
+        def counting(self, instr):
+            compiles.append(instr)
+            return original(self, instr)
+
+        monkeypatch.setattr(FastExecutor, "_compile", counting)
+        kernel = build_vecadd()
+        cold = _vecadd_run(kernel)
+        compiled = len(compiles)
+        assert compiled == len(kernel.instructions)
+        (program, _memo), = _programs(kernel).values()
+        warm = _vecadd_run(kernel)
+        assert len(compiles) == compiled            # nothing recompiled
+        assert [p for p, _memo in _programs(kernel).values()] == [program]
+        assert warm == cold
+        assert _vecadd_run(build_vecadd()) == cold  # a fresh kernel too
+
+    def test_each_launch_shape_gets_its_own_entry(self):
+        kernel = build_vecadd()
+        for workgroups, wg_size in ((2, 64), (4, 64), (2, 32), (2, 64)):
+            _vecadd_run(kernel, workgroups, wg_size)
+        assert sorted(_programs(kernel)) == [(32, 32, 2), (32, 64, 2),
+                                             (32, 64, 4)]
+        # A shape-specific entry reproduces the cold result of its shape.
+        assert _vecadd_run(kernel, 4, 64) == _vecadd_run(build_vecadd(),
+                                                         4, 64)
+
+    def test_cache_dies_with_its_kernel(self):
+        import gc
+        import weakref
+
+        from repro.gpu.fastpath import FastExecutor
+
+        kernel = build_vecadd()
+        executor = FastExecutor(kernel=kernel, workgroups=1, wg_size=32,
+                                warp_size=32, initial_regs={})
+        closure = next(entry[1] for entry in executor._program
+                       if entry is not None)
+        kernel_ref = weakref.ref(kernel)
+        closure_ref = weakref.ref(closure)
+        del kernel, executor, closure
+        gc.collect()
+        assert kernel_ref() is None
+        assert closure_ref() is None
+
+    def test_kernel_equality_is_unaffected(self):
+        from dataclasses import fields
+
+        cached, plain = build_vecadd(), build_vecadd()
+        _vecadd_run(cached)
+        assert _programs(cached) and not _programs(plain)
+        assert cached == plain
+        assert repr(cached) == repr(plain)
+        assert "_fast_programs" not in {f.name for f in fields(cached)}
+
+    def test_flush_clears_sets_in_place(self):
+        fast = FastCache(16384, 4, 128)
+        sets = list(fast._lines)
+        for addr in range(0, 1 << 14, 128):
+            fast.access(addr)
+        fast.flush()
+        assert all(a is b for a, b in zip(fast._lines, sets))
+        assert not any(fast._lines)

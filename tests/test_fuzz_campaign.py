@@ -52,6 +52,30 @@ class TestRunCase:
         assert outcome.detected["shield"]
         assert outcome.attribution_ok
 
+    @pytest.mark.parametrize("kind", ["safe", "overflow", "forged_id"])
+    def test_configs_share_one_unchanged_workload(self, kind, monkeypatch):
+        # run_case builds a case once for all six configs: no config may
+        # mutate the Workload or its kernels.  Dataclass reprs cover
+        # every kernel instruction, buffer spec and run argument (and
+        # leave out the fast executor's private program cache).
+        from repro.fuzz import campaign
+
+        built = []
+        original = campaign.build_workload
+
+        def recording(spec):
+            workload = original(spec)
+            built.append((workload, repr(workload)))
+            return workload
+
+        monkeypatch.setattr(campaign, "build_workload", recording)
+        outcome = run_case(case_of(kind), check_determinism=True)
+        assert outcome.ok, outcome.cell_failures
+        assert outcome.deterministic
+        assert len(built) == 2            # the shared build + the re-run's
+        for workload, dump in built:
+            assert repr(workload) == dump
+
     def test_safe_case_has_no_detections_and_equal_digests(self):
         outcome = run_case(case_of("safe"))
         assert outcome.ok, outcome.cell_failures

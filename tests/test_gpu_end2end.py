@@ -221,3 +221,159 @@ class TestCycleAccounting:
         assert result.mem_instructions > 0
         assert result.transactions >= result.mem_instructions
         assert 0.0 <= result.l1d_hit_rate <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# LaunchResult: per-launch deltas read without a registry snapshot
+# ---------------------------------------------------------------------------
+
+
+def _registry_delta(before, after):
+    """The registry's view of only the launches between two snapshots."""
+    from repro.analysis.stats import StatsSnapshot
+    base = before.as_dict()
+    return StatsSnapshot({path: value - base.get(path, 0)
+                          for path, value in after.as_dict().items()})
+
+
+def _launch_fields(result):
+    return dict(
+        instructions=result.instructions,
+        mem_instructions=result.mem_instructions,
+        transactions=result.transactions,
+        l1d_hit_rate=result.l1d_hit_rate,
+        l1_rcache_hit_rate=result.l1_rcache_hit_rate,
+        l2_rcache_hit_rate=result.l2_rcache_hit_rate,
+        check_reduction_percent=result.check_reduction_percent,
+        bcu_stall_cycles=result.bcu_stall_cycles,
+        rbt_fills=result.rbt_fills,
+        violations=result.violations)
+
+
+def _snapshot_fields(delta):
+    return dict(
+        instructions=delta.total("cores.*.issue.instructions"),
+        mem_instructions=delta.total("cores.*.issue.mem_instructions"),
+        transactions=delta.total("cores.*.issue.transactions"),
+        l1d_hit_rate=delta.hit_rate("cores.*.l1d"),
+        l1_rcache_hit_rate=delta.hit_rate("cores.*.rcache.l1"),
+        l2_rcache_hit_rate=delta.hit_rate("cores.*.rcache.l2"),
+        check_reduction_percent=delta.ratio_percent(
+            "cores.*.bcu.checks_skipped_static",
+            "cores.*.bcu.mem_instructions"),
+        bcu_stall_cycles=delta.total("cores.*.issue.bcu_stall_cycles"),
+        rbt_fills=delta.total("cores.*.bcu.rbt_fills"),
+        violations=delta.get("shield.log.violations", 0))
+
+
+def _overflowing_vecadd_session(engine_name, shield_on=True):
+    """A 2-core session plus vecadd args whose 64-element buffers the
+    128-thread launch overruns: every launch checks, fills and logs."""
+    session = GpuSession(nvidia_config(num_cores=2, engine=engine_name),
+                         shield=ShieldConfig(enabled=shield_on))
+    bufs = {name: session.driver.malloc(64 * 4) for name in "abc"}
+    write_i32s(session, bufs["a"], list(range(64)))
+    write_i32s(session, bufs["b"], list(range(64)))
+    return session, dict(bufs, n=128)
+
+
+class TestLaunchResultPerLaunch:
+    """``GPU.run`` reads the few counters it reports straight off the
+    per-core stats objects: no registry snapshot, and every field a
+    delta over the launch itself."""
+
+    def test_run_takes_no_registry_snapshot(self, monkeypatch,
+                                            vecadd_kernel):
+        from repro.analysis.stats import StatsRegistry
+        session, args = _overflowing_vecadd_session("fast")
+        launch = session.driver.launch(vecadd_kernel, args, 2, 64)
+        calls = []
+        original = StatsRegistry.snapshot
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(StatsRegistry, "snapshot", counting)
+        result = session.gpu.run(launch)
+        assert result.instructions > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("engine_name", ["slow", "fast"])
+    def test_back_to_back_launches_report_their_own_deltas(
+            self, engine_name, vecadd_kernel):
+        session, args = _overflowing_vecadd_session(engine_name)
+        gpu, driver = session.gpu, session.driver
+        results = []
+        for _ in range(2):
+            # No finish in between: the shield log keeps the first
+            # launch's records while the second one runs.
+            launch = driver.launch(vecadd_kernel, args, 2, 64)
+            before = session.stats.snapshot()
+            result = gpu.run(launch)
+            after = session.stats.snapshot()
+            assert _launch_fields(result) == _snapshot_fields(
+                _registry_delta(before, after))
+            results.append(result)
+        first, second = results
+        assert second.rbt_fills > 0 and second.violations > 0
+        # Cumulative counters would report the sum for the second launch.
+        assert second.rbt_fills < after.total("cores.*.bcu.rbt_fills")
+        assert second.violations < after.get("shield.log.violations")
+        # The first launch warmed the L1D; the second hits more.
+        assert second.l1d_hit_rate > first.l1d_hit_rate
+        assert second.l1d_hit_rate != after.hit_rate("cores.*.l1d")
+
+    @pytest.mark.parametrize("engine_name", ["slow", "fast"])
+    def test_intra_core_pair_reports_its_own_deltas(self, engine_name,
+                                                    vecadd_kernel):
+        session, args = _overflowing_vecadd_session(engine_name)
+        gpu, driver = session.gpu, session.driver
+        session.run(vecadd_kernel, args, 2, 64)      # warm, then measure
+        pair = [driver.launch(vecadd_kernel, args, 2, 64)
+                for _ in range(2)]
+        before = session.stats.snapshot()
+        result = gpu.run(pair, mode="intra_core")
+        after = session.stats.snapshot()
+        assert _launch_fields(result) == _snapshot_fields(
+            _registry_delta(before, after))
+        assert result.rbt_fills > 0 and result.violations > 0
+
+
+class TestHarnessCounters:
+    """``WorkloadRunner.run`` fills its record from the same direct
+    counter read: the values must equal the registry snapshot's."""
+
+    @pytest.mark.parametrize("engine_name", ["slow", "fast"])
+    @pytest.mark.parametrize("shielded", [True, False],
+                             ids=["shield", "base"])
+    def test_record_matches_registry_snapshot(self, engine_name,
+                                              shielded):
+        from repro.analysis.harness import WorkloadRunner, default_shield
+        from repro.fuzz.generator import CaseGenerator, build_workload
+
+        spec = CaseGenerator(9).draw_kind("safe", 0)
+        runner = WorkloadRunner(
+            build_workload(spec),
+            config=nvidia_config(num_cores=2, engine=engine_name),
+            shield=default_shield() if shielded else None, seed=3)
+        try:
+            record = runner.run()
+            snap = runner.session.stats.snapshot()
+        finally:
+            runner.close()
+        assert record.instructions > 0
+        assert record.l1d_hit_rate == snap.hit_rate("cores.*.l1d")
+        if not shielded:
+            assert not snap.select("cores.*.bcu.rbt_fills")
+            return
+        assert record.rbt_fills > 0
+        assert (record.l1_rcache_hit_rate, record.l2_rcache_hit_rate,
+                record.check_reduction_percent, record.bcu_stall_cycles,
+                record.rbt_fills) == (
+            snap.hit_rate("cores.*.rcache.l1"),
+            snap.hit_rate("cores.*.rcache.l2"),
+            snap.ratio_percent("cores.*.bcu.checks_skipped_static",
+                               "cores.*.bcu.mem_instructions"),
+            snap.total("cores.*.bcu.stall_cycles"),
+            snap.total("cores.*.bcu.rbt_fills"))
