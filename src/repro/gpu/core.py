@@ -204,6 +204,17 @@ class ShaderCore:
                            else alu_latency)
                 warp.ready_at = cycle + latency
                 cycle += 1
+            elif kind == "run":
+                # A straight-line run of k ALU instructions (fast engine,
+                # only when alu_latency <= 1): the warp would re-issue
+                # every cycle anyway, so account k - 1 issues at once,
+                # then the last instruction's latency.
+                count, category = payload
+                stats.instructions += count - 1
+                cycle += count - 1
+                warp.ready_at = cycle + (sfu_latency if category == "sfu"
+                                         else alu_latency)
+                cycle += 1
             elif kind == "mem":
                 latency, stall = self._process_mem(warp, job, payload, cycle)
                 warp.ready_at = cycle + latency

@@ -16,16 +16,24 @@ exactly the same arithmetic with flat pre-bound structures:
   pointer and memoized ID decrypt per (kernel, payload), plus shared
   :class:`~repro.core.checker.CheckOutcome` singletons for the hot
   allow paths;
-* :class:`FastMemoryPipeline` — one reusable scratch ``AccessResult``,
-  the coalescer and both timing stages inlined into a single loop, and
-  batched lane load/store loops that index the sparse physical-memory
-  chunks directly;
+* :class:`FastMemoryPipeline` — one reusable scratch ``AccessResult``
+  and a warp handled as one unit through C-level iterators: an
+  ascending affine lane vector coalesces with one list compare into a
+  ``range`` of lines (anything else through ``min``/``max`` and a
+  ``set`` of first- and last-byte lines), both timing stages run in a
+  single loop, and the data of an access inside one 64 KiB memory chunk
+  moves in one multi-lane ``struct`` call (contiguous lanes) or one
+  ``map`` of per-lane calls over that chunk.  A chunk-straddling access,
+  or a store some lane of which cannot be converted or packed, takes
+  the reference lane loop, so memory and byte counters match it even
+  when the store raises;
 * :class:`FastExecutor` — instructions compiled to closures once per
   kernel and launch shape (cached on the ``Kernel`` instance, so a
-  relaunch pays no compile), inline effective-address generation (the
-  ``tagged_add(...) & VA_MASK`` composition reduces to one masked add),
-  whole-warp ALU vectorization via ``list(map(...))``, and a cached
-  all-lanes active list.
+  relaunch pays no compile), full-warp effective addresses and ALU ops
+  as ``list(map(...))`` over C functions (the ``tagged_add(...) &
+  VA_MASK`` composition reduces to one masked add), and — when the
+  core's ALU latency is at most one cycle — each straight-line ALU run
+  issued as one step that the core accounts as ``k`` instructions.
 
 Device resets flush the flat probe structures in place, visiting only
 the sets that hold lines.
@@ -42,9 +50,11 @@ Anything that cannot be made bit-identical does not belong here.
 
 from __future__ import annotations
 
-import operator
 import struct
-from functools import partial
+from collections import deque
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import add, and_, itemgetter, mul, rshift, sub
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
@@ -57,12 +67,28 @@ from repro.errors import IllegalAddressError, KernelAborted
 from repro.gpu.cache import Cache
 from repro.gpu.executor import (_ALU_FUNCS, _CMP_FUNCS, _UNARY_FUNCS,
                                 Executor, Instr, MemRequest, WarpState)
-from repro.gpu.memory import _CHUNK_BITS, _CHUNK_MASK, _CHUNK_SIZE
+from repro.gpu.memory import _CHUNK_BITS, _CHUNK_MASK
 from repro.gpu.pipeline import AccessResult, MemoryPipeline
 from repro.gpu.tlb import Tlb
 from repro.isa.instructions import DTYPE_SIZE, Imm, Reg
 
 _F32 = struct.Struct("<f")
+
+#: ``struct`` codes per dtype.  Stores pack the field-wrapped unsigned
+#: value, which has the same bytes as the signed one.
+_LOAD_CODES = {"f32": "f", "i32": "i", "u32": "I", "i64": "q", "u64": "Q"}
+_STORE_CODES = {"f32": "f", "i32": "I", "u32": "I", "i64": "Q", "u64": "Q"}
+
+
+@lru_cache(maxsize=None)
+def _struct(count: int, code: str) -> struct.Struct:
+    """The little-endian packer of ``count`` consecutive ``code`` fields."""
+    return struct.Struct(f"<{count}{code}")
+
+
+def _each(fn, *iterables) -> None:
+    """Call ``fn`` over the zipped iterables for its effect, at C speed."""
+    deque(map(fn, *iterables), maxlen=0)
 
 #: Opcodes handled by ``_exec_alu`` (the reference ``step`` if-chain).
 _ALU_OPS = (frozenset(_ALU_FUNCS) | frozenset(_UNARY_FUNCS)
@@ -72,10 +98,8 @@ _ALU_OPS = (frozenset(_ALU_FUNCS) | frozenset(_UNARY_FUNCS)
 #: ``operator.add(a, b)`` invokes the exact ``__add__`` protocol of
 #: ``a + b``, so substituting them is bit-identical — but ``map`` over a
 #: C function runs the whole lane loop without Python frames.
-_C_ALU_FUNCS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul,
-}
+_C_ALU_FUNCS = {"add": add, "sub": sub, "mul": mul,
+                "fadd": add, "fsub": sub, "fmul": mul}
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +441,7 @@ class FastMemoryPipeline(MemoryPipeline):
         self.l1tlb = FastTlb(config.l1tlb_entries, name=f"l1tlb{core_id}")
         self._result = AccessResult(space="", is_store=False)
         self._result.per_transaction = []   # never filled on the fast lane
+        self._line_size = config.line_size
         self._line_shift = config.line_size.bit_length() - 1
         self._page_shift = config.page_size.bit_length() - 1
         self._depth = config.lsu_pipeline_depth
@@ -473,30 +498,34 @@ class FastMemoryPipeline(MemoryPipeline):
         result.coalesced = None
         result.check = None
 
-        # Stage 1: coalesce (inline; same set arithmetic as coalesce()).
+        # Stage 1: coalesce, over the active lanes' addresses at once.
+        # An ascending affine vector (stride 0 < s <= line) touches every
+        # line from its first byte to its last: the gap between lanes,
+        # s - size, is narrower than a line.  Any other vector touches
+        # the lines of its lanes' first and last bytes (a dtype is at
+        # most 8 bytes, so a lane spans at most two lines).
         addrs = request.lane_addrs
         active = request.active_lanes
-        size_m1 = DTYPE_SIZE[request.dtype] - 1
+        n = len(active)
+        vals = (addrs if n == len(addrs)
+                else list(map(addrs.__getitem__, active)))
+        size = DTYPE_SIZE[request.dtype]
         shift = self._line_shift
-        a0 = addrs[active[0]]
-        lo = a0
-        hi = a0 + size_m1
-        segs = set()
-        for lane in active:
-            a = addrs[lane]
-            last = a + size_m1
-            if a < lo:
-                lo = a
-            if last > hi:
-                hi = last
-            s0 = a >> shift
-            s1 = last >> shift
-            if s0 == s1:
-                segs.add(s0)
-            else:
-                segs.update(range(s0, s1 + 1))
-        txs = sorted(segs)
-        ntx = len(txs)
+        lo = vals[0]
+        stride = vals[1] - lo if n > 1 else size
+        if (0 < stride <= self._line_size
+                and vals == list(range(lo, lo + stride * n, stride))):
+            hi = vals[-1] + size - 1
+            segs = range(lo >> shift, (hi >> shift) + 1)
+        else:
+            stride = 0
+            lo = min(vals)
+            hi = max(vals) + size - 1
+            lines = set(map(rshift, vals, repeat(shift)))
+            lines.update(map(rshift, map(add, vals, repeat(size - 1)),
+                             repeat(shift)))
+            segs = sorted(lines)
+        ntx = len(segs)
         result.transactions = ntx
         result.min_addr = lo
         result.max_addr = hi
@@ -534,10 +563,8 @@ class FastMemoryPipeline(MemoryPipeline):
             tlb_stats = tlb.stats
             l2_bundle = self._l2_bundle
             l2tlb_bundle = self._l2tlb_bundle
-            for i in range(ntx):
-                seg = txs[i]
+            for seg in segs:
                 tx = seg << shift
-                txs[i] = tx
                 vpage = tx >> page_shift
                 s = tlb_lines[vpage & tlb_mask]
                 if vpage in s:
@@ -617,10 +644,8 @@ class FastMemoryPipeline(MemoryPipeline):
             # method path, still array-backed.
             l1_access = l1.access
             l1tlb_access = self._l1tlb_access
-            for i in range(ntx):
-                seg = txs[i]
+            for seg in segs:
                 tx = seg << shift
-                txs[i] = tx
                 if l1tlb_access(tx >> page_shift):
                     tlb_l1_hits += 1
                     latency = 0
@@ -661,15 +686,14 @@ class FastMemoryPipeline(MemoryPipeline):
                         is_store=is_store, num_transactions=ntx,
                         dcache_hit=l1_hits == ntx,
                         tlb_miss=page_walks > 0,
-                        num_lanes=len(active), cycle=cycle)
+                        num_lanes=n, cycle=cycle)
             else:
                 outcome = checker.check(AccessContext(
                     security=getattr(job.launch, "security", None),
                     base_pointer=request.base_pointer,
                     lo=lo, hi=hi, is_store=is_store, space=space,
                     num_transactions=ntx, dcache_hit=l1_hits == ntx,
-                    tlb_miss=page_walks > 0, num_lanes=len(active),
-                    cycle=cycle))
+                    tlb_miss=page_walks > 0, num_lanes=n, cycle=cycle))
             result.check = outcome
             result.allowed = outcome.allowed
             result.stall = outcome.stall_cycles
@@ -679,9 +703,7 @@ class FastMemoryPipeline(MemoryPipeline):
         if not result.allowed:
             # §5.5.2 logging policy: zero loads, drop stores silently.
             if not is_store:
-                dst = warp.regs[request.dst]
-                for lane in active:
-                    dst[lane] = 0
+                _each(warp.regs[request.dst].__setitem__, active, repeat(0))
             if self.tracer is not None:
                 self._trace(warp, request, cycle, result)
             return result
@@ -691,22 +713,29 @@ class FastMemoryPipeline(MemoryPipeline):
         pages = self._space_pages
         try:
             if pages is None:
-                for tx in txs:
-                    translate(tx, is_store=is_store)
+                for seg in segs:
+                    translate(seg << shift, is_store=is_store)
             else:
                 # Inline the happy path of AddressSpace.translate; any
                 # denial re-runs the method for the precise error.
-                for tx in txs:
+                for seg in segs:
+                    tx = seg << shift
                     flags = pages.get(tx >> page_shift)
                     if (flags is None or not flags.accessible
                             or (is_store and not flags.writable)):
                         translate(tx, is_store=is_store)
         except IllegalAddressError as err:
             raise KernelAborted(err) from err
-        if is_store:
-            self._fast_stores(request)
+        if lo >> _CHUNK_BITS != hi >> _CHUNK_BITS:
+            # Straddles a 64 KiB memory chunk: the reference lane loop.
+            if is_store:
+                self.do_stores(request)
+            else:
+                self.do_loads(warp, job, request)
+        elif is_store:
+            self._store_chunk(request, vals, lo, stride == size)
         else:
-            self._fast_loads(warp, request)
+            self._load_chunk(warp, request, vals, lo, stride == size)
         if self.tracer is not None:
             self._trace(warp, request, cycle, result)
         return result
@@ -716,13 +745,8 @@ class FastMemoryPipeline(MemoryPipeline):
         self.do_shared(warp, job, request)
         addrs = request.lane_addrs
         active = request.active_lanes
-        lo = hi = addrs[active[0]]
-        for lane in active:
-            a = addrs[lane]
-            if a < lo:
-                lo = a
-            elif a > hi:
-                hi = a
+        vals = (addrs if len(active) == len(addrs)
+                else list(map(addrs.__getitem__, active)))
         result = self._result
         result.space = "shared"
         result.is_store = request.is_store
@@ -730,8 +754,8 @@ class FastMemoryPipeline(MemoryPipeline):
         result.stall = 0
         result.allowed = True
         result.transactions = 1
-        result.min_addr = lo
-        result.max_addr = hi
+        result.min_addr = min(vals)
+        result.max_addr = max(vals)
         result.coalesced = None
         result.check = None
         result.tlb_l1_hits = result.tlb_l2_hits = result.page_walks = 0
@@ -740,93 +764,72 @@ class FastMemoryPipeline(MemoryPipeline):
             self._trace(warp, request, cycle, result)
         return result
 
-    # -- batched lane data movement ------------------------------------------
+    # -- batched data movement within one memory chunk -----------------------
 
-    def _fast_loads(self, warp: WarpState, request: MemRequest) -> None:
-        """Chunk-direct scalar loads (same bytes_read accounting)."""
+    def _load_chunk(self, warp: WarpState, request: MemRequest, vals,
+                    lo: int, contiguous: bool) -> None:
+        """Load every active lane from the one chunk holding them all."""
         memory = self.memory
-        chunks = memory._chunks
         dtype = request.dtype
-        addrs = request.lane_addrs
-        active = request.active_lanes
-        dst = warp.regs[request.dst]
-        counted = 0
-        chunk_index = -1
-        chunk = None
-        if dtype == "f32":
-            unpack_from = _F32.unpack_from
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                if off <= _CHUNK_SIZE - 4:
-                    index = a >> _CHUNK_BITS
-                    if index != chunk_index:
-                        chunk = chunks.get(index)
-                        chunk_index = index
-                    dst[lane] = (unpack_from(chunk, off)[0]
-                                 if chunk is not None else 0.0)
-                    counted += 4
-                else:
-                    dst[lane] = memory.read_f32(a)   # counts its own bytes
+        n = len(vals)
+        chunk = memory._chunks.get(lo >> _CHUNK_BITS)
+        if chunk is None:
+            out = [0.0 if dtype == "f32" else 0] * n
+        elif contiguous:
+            out = _struct(n, _LOAD_CODES[dtype]).unpack_from(
+                chunk, lo & _CHUNK_MASK)
         else:
-            size = DTYPE_SIZE[dtype]
-            signed = dtype in ("i32", "i64")
-            from_bytes = int.from_bytes
-            bound = _CHUNK_SIZE - size
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                if off <= bound:
-                    index = a >> _CHUNK_BITS
-                    if index != chunk_index:
-                        chunk = chunks.get(index)
-                        chunk_index = index
-                    dst[lane] = (from_bytes(chunk[off:off + size], "little",
-                                            signed=signed)
-                                 if chunk is not None else 0)
-                    counted += size
-                elif signed:
-                    dst[lane] = memory.read_int(a, size)
-                else:
-                    dst[lane] = memory.read_uint(a, size)
-        memory.bytes_read += counted
+            out = list(map(itemgetter(0), map(
+                _struct(1, _LOAD_CODES[dtype]).unpack_from, repeat(chunk),
+                map(and_, vals, repeat(_CHUNK_MASK)))))
+        memory.bytes_read += n * DTYPE_SIZE[dtype]
+        regs = warp.regs
+        if n == len(request.lane_addrs):
+            regs[request.dst] = list(out)
+        else:
+            _each(regs[request.dst].__setitem__, request.active_lanes, out)
 
-    def _fast_stores(self, request: MemRequest) -> None:
-        """Chunk-direct scalar stores (same bytes_written accounting)."""
+    def _store_chunk(self, request: MemRequest, vals, lo: int,
+                     contiguous: bool) -> None:
+        """Store every active lane into the one chunk holding them all.
+
+        Every lane is converted and packed before memory is touched
+        (chunk creation included).  On any failure the reference lane
+        loop replays the store: it writes and counts the lanes before
+        the failing one, then raises the same error.
+        """
         memory = self.memory
-        get_chunk = memory._chunk
         dtype = request.dtype
-        addrs = request.lane_addrs
+        size = DTYPE_SIZE[dtype]
         values = request.store_values
         active = request.active_lanes
-        counted = 0
-        if dtype == "f32":
-            pack_into = _F32.pack_into
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                if off <= _CHUNK_SIZE - 4:
-                    pack_into(get_chunk(a >> _CHUNK_BITS), off,
-                              float(values[lane]))
-                    counted += 4
-                else:
-                    memory.write_f32(a, float(values[lane]))
+        n = len(active)
+        if n != len(values):
+            values = list(map(values.__getitem__, active))
+        code = _STORE_CODES[dtype]
+        try:
+            if dtype == "f32":
+                lanes = map(float, values)
+            else:
+                # Two's-complement wrap to the field: (v + lim) % lim.
+                lanes = map(and_, map(int, values),
+                            repeat((1 << (size * 8)) - 1))
+            packed = (_struct(n, code).pack(*lanes) if contiguous
+                      else list(map(_struct(1, code).pack, lanes)))
+        except Exception:
+            packed = None
+        if packed is None:
+            self.do_stores(request)
+            return
+        chunk = memory._chunk(lo >> _CHUNK_BITS)
+        if contiguous:
+            off = lo & _CHUNK_MASK
+            chunk[off:off + n * size] = packed
         else:
-            size = DTYPE_SIZE[dtype]
-            lim = 1 << (size * 8)
-            bound = _CHUNK_SIZE - size
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                value = int(values[lane])
-                if off <= bound:
-                    chunk = get_chunk(a >> _CHUNK_BITS)
-                    chunk[off:off + size] = \
-                        ((value + lim) % lim).to_bytes(size, "little")
-                    counted += size
-                else:
-                    memory.write_int(a, size, value)
-        memory.bytes_written += counted
+            offs = list(map(and_, vals, repeat(_CHUNK_MASK)))
+            _each(chunk.__setitem__,
+                  map(slice, offs, map(add, offs, repeat(size))), packed)
+        memory.bytes_written += n * size
 
     def do_shared(self, warp: WarpState, job, request: MemRequest) -> None:
         """Shared-memory scratchpad with direct register delivery."""
@@ -897,11 +900,50 @@ _MEM_NOP = ("alu", "mem-nop")
 
 class _LaunchShape(NamedTuple):
     """The executor fields compiled closures read — nothing else of a
-    launch reaches them — and so the key of a kernel's program cache."""
+    launch reaches them — plus whether ALU runs are fused: the key of a
+    kernel's program cache."""
 
     warp_size: int
     wg_size: int
     workgroups: int
+    fuse_runs: bool
+
+
+def _mad(x, y, z):
+    return x * y + z
+
+
+def _chain(fns):
+    """One step that runs a straight-line ALU run's closures in order."""
+    def run(warp):
+        for fn in fns:
+            fn(warp)
+    return run
+
+
+def _fuse_runs(program: list) -> list:
+    """Give every ALU entry the whole straight-line run from its pc.
+
+    A run ends at any non-ALU entry and right after an SFU instruction,
+    whose latency lets another warp issue.  Each pc gets its own suffix
+    because warps enter runs mid-way (loop back-edges, ``else``).
+    """
+    fused = list(program)
+    run: tuple = ()
+    last = ""
+    for pc in range(len(program) - 1, -1, -1):
+        entry = program[pc]
+        if entry is None or entry[1] is None:
+            run = ()
+            continue
+        fn, (_alu, category), _k = entry
+        if category == "sfu" or not run:
+            run, last = (fn,), category
+        else:
+            run = (fn,) + run
+        if len(run) > 1:
+            fused[pc] = (_chain(run), ("run", (len(run), last)), len(run))
+    return fused
 
 
 class FastExecutor(Executor):
@@ -919,12 +961,19 @@ class FastExecutor(Executor):
     workgroup count), so a kernel compiles once per shape: the program
     and its special-register memo are cached on the kernel instance and
     freed with it.
+
+    With ``fuse_alu_runs`` (legal only when the core's ALU latency is at
+    most one cycle, so greedy-then-oldest re-issues the same warp every
+    cycle) one ``step`` executes a whole straight-line ALU run and
+    returns ``("run", (k, last_category))``; the core accounts the
+    ``k`` issues at once.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, fuse_alu_runs: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self._num_instr = len(self.instructions)
-        shape = _LaunchShape(self.warp_size, self.wg_size, self.workgroups)
+        shape = _LaunchShape(self.warp_size, self.wg_size, self.workgroups,
+                             fuse_alu_runs)
         # A private instance attribute, not a dataclass field: Kernel
         # equality and repr never see it.
         programs = vars(self.kernel).setdefault("_fast_programs", {})
@@ -938,8 +987,9 @@ class FastExecutor(Executor):
             # are always fresh lists or element-wise writes), so they
             # memoize safely across launches.
             self._special_memo: Dict[tuple, List] = {}
+            program = [self._compile(i) for i in self.instructions]
             compiled = programs[shape] = (
-                [self._compile(i) for i in self.instructions],
+                _fuse_runs(program) if fuse_alu_runs else program,
                 self._special_memo)
         self._program, self._special_memo = compiled
 
@@ -970,11 +1020,14 @@ class FastExecutor(Executor):
         return special
 
     def _compile(self, instr: Instr):
+        """Instruction -> ``(closure, payload, count)``.  ``step`` returns
+        the constant payload after the closure, or, when it is ``None``
+        (memory instructions), the closure's own result."""
         op = instr.op
         if op in _ALU_OPS:
-            return (0, self._compile_alu(instr), ("alu", instr.category))
+            return (self._compile_alu(instr), ("alu", instr.category), 1)
         if op == "ld" or op == "st":
-            return (1, self._compile_mem(instr))
+            return (self._compile_mem(instr), None, 1)
         return None                     # reference dispatcher territory
 
     def _compile_alu(self, instr: Instr):
@@ -991,7 +1044,7 @@ class FastExecutor(Executor):
         elif op in _UNARY_FUNCS:
             arity, fn = 1, _UNARY_FUNCS[op]
         elif op in ("mad", "fmad"):
-            arity, fn = 3, (lambda x, y, z: x * y + z)
+            arity, fn = 3, _mad
         elif op == "sel":
             arity, fn = 3, (lambda p, x, y: x if p else y)
         elif op == "setp":
@@ -1066,14 +1119,20 @@ class FastExecutor(Executor):
             return run
 
         g0, g1, g2 = getters
+        if fn is _mad:
+            # Rounds after the multiply and after the add, like _mad.
+            def full(a, b, c):
+                return list(map(add, map(mul, a, b), c))
+        else:
+            def full(a, b, c):
+                return list(map(fn, a, b, c))
 
         def run(warp):
             mask = warp.mask
             regs = warp.regs
             if pred_idx is None:
                 if all(mask):
-                    regs[dsti] = list(map(fn, g0(warp), g1(warp),
-                                          g2(warp)))
+                    regs[dsti] = full(g0(warp), g1(warp), g2(warp))
                     return
                 active = [l for l in lanes if mask[l]]
             else:
@@ -1082,8 +1141,7 @@ class FastExecutor(Executor):
                           if inv else
                           [l for l in lanes if mask[l] and p[l]])
                 if len(active) == ws:
-                    regs[dsti] = list(map(fn, g0(warp), g1(warp),
-                                          g2(warp)))
+                    regs[dsti] = full(g0(warp), g1(warp), g2(warp))
                     return
             if not active:
                 return
@@ -1124,19 +1182,29 @@ class FastExecutor(Executor):
                 return _MEM_NOP
             base = gbase(warp)
             offset = goff(warp)
-            lane_addrs: List[Optional[int]] = [None] * ws
+            full = len(active) == ws
             if shared:
-                for l in active:
-                    lane_addrs[l] = int(offset[l])
+                if full:
+                    lane_addrs = list(map(int, offset))
+                else:
+                    lane_addrs = [None] * ws
+                    for l in active:
+                        lane_addrs[l] = int(offset[l])
                 base_pointer = 0
             else:
                 # tagged_add(base, off) & VA_MASK == (base + off) &
                 # VA_MASK: the metadata bits are stripped by the mask
                 # and 2**48 divides 2**64, so 64-bit wrapping cannot
                 # change the low 48 bits of the sum.
-                for l in active:
-                    lane_addrs[l] = (int(base[l]) + int(offset[l])) \
-                        & VA_MASK
+                if full:
+                    lane_addrs = list(map(and_, map(add, map(int, base),
+                                                    map(int, offset)),
+                                          repeat(VA_MASK)))
+                else:
+                    lane_addrs = [None] * ws
+                    for l in active:
+                        lane_addrs[l] = (int(base[l]) + int(offset[l])) \
+                            & VA_MASK
                 base_pointer = int(base[active[0]])
             store_values = list(gstore(warp)) if is_store else None
             return ("mem", MemRequest(
@@ -1160,9 +1228,10 @@ class FastExecutor(Executor):
             # Control flow / bar / exit / malloc: the reference
             # dispatcher (it counts the instruction itself).
             return super().step(warp)
-        self.instructions_executed += 1
-        warp.pc = pc + 1
-        if entry[0] == 0:
-            entry[1](warp)
-            return entry[2]
-        return entry[1](warp)
+        fn, payload, count = entry
+        self.instructions_executed += count
+        warp.pc = pc + count
+        if payload is None:
+            return fn(warp)
+        fn(warp)
+        return payload

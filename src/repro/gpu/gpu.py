@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.core.shield import GPUShield
@@ -332,7 +333,11 @@ class GPU:
     def _make_job(self, launch: LaunchContext) -> CoreJob:
         if self.engine == "fast":
             from repro.gpu.fastpath import FastExecutor
-            executor_cls = FastExecutor
+            # A fused ALU run issues as one step; it is cycle-exact only
+            # when greedy-then-oldest re-issues the warp every cycle.
+            executor_cls = partial(
+                FastExecutor,
+                fuse_alu_runs=self.config.alu_latency <= 1)
         else:
             executor_cls = Executor
         executor = executor_cls(
