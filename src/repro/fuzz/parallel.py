@@ -17,7 +17,7 @@ merges bit-identically to one that never stopped.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.stats import StatsRegistry
 from repro.fuzz.campaign import (CONFIG_NAMES, CampaignResult, CaseOutcome,
@@ -25,7 +25,7 @@ from repro.fuzz.campaign import (CONFIG_NAMES, CampaignResult, CaseOutcome,
 from repro.fuzz.spec import CaseSpec
 from repro.gpu.config import nvidia_config
 from repro.runner.job import JobContext, JobResult, JobSpec
-from repro.runner.shard import default_shard_count, plan_shards
+from repro.runner.shard import merge_slices, plan_slice_jobs
 
 SHARD_KIND = "fuzz.shard"
 
@@ -42,24 +42,11 @@ def plan_fuzz_shards(specs: Sequence[CaseSpec], *, seed: int,
                      timeout: float = DEFAULT_SHARD_TIMEOUT,
                      max_retries: int = 1) -> List[JobSpec]:
     """Cut a campaign into contiguous, self-contained shard jobs."""
-    shards = shards or default_shard_count(len(specs), jobs)
-    plan: List[JobSpec] = []
-    for shard in plan_shards(len(specs), shards):
-        chunk = specs[shard.start:shard.stop]
-        plan.append(JobSpec(
-            job_id=f"fuzz-{shard.index:04d}",
-            kind=SHARD_KIND,
-            seed=seed,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=0.5,
-            payload={
-                "index_base": shard.start,
-                "cases": [s.to_dict() for s in chunk],
-                "configs": list(configs),
-                "determinism_every": determinism_every,
-            }))
-    return plan
+    return plan_slice_jobs(SHARD_KIND, [s.to_dict() for s in specs],
+                           seed=seed, jobs=jobs, shards=shards,
+                           timeout=timeout, max_retries=max_retries,
+                           configs=list(configs),
+                           determinism_every=determinism_every)
 
 
 def run_shard_job(payload: dict, ctx: JobContext) -> dict:
@@ -68,7 +55,7 @@ def run_shard_job(payload: dict, ctx: JobContext) -> dict:
     Campaign counters land on ``ctx.stats`` (the per-worker registry the
     engine snapshots and merges); outcomes return in full wire form.
     """
-    specs = [CaseSpec.from_dict(d) for d in payload["cases"]]
+    specs = [CaseSpec.from_dict(d) for d in payload["items"]]
     result = run_campaign(
         specs,
         seed=ctx.spec.seed,
@@ -88,35 +75,25 @@ def merge_campaign(results: Sequence[JobResult], *, seed: int,
                    ) -> CampaignResult:
     """Fold shard job results back into one serial-order campaign.
 
-    Ordering key is each shard's ``index_base`` (carried in the result
-    payload), so merging is independent of completion order.  A shard
-    that failed terminally raises — the campaign's integrity guarantee
-    is all-cases-accounted-for, never silent holes.
+    :func:`~repro.runner.shard.merge_slices` orders the shards by
+    ``index_base`` and refuses a shard that failed terminally — the
+    campaign's integrity guarantee is all-cases-accounted-for, never
+    silent holes.
     """
-    failed = [r for r in results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in failed)
-        raise RuntimeError(f"{len(failed)} fuzz shard(s) failed "
-                           f"terminally: {detail}")
-
-    stats = StatsRegistry()
+    merged = CampaignResult(seed=seed, stats=StatsRegistry())
+    for payload in merge_slices(results, "fuzz"):
+        merged.outcomes.extend(CaseOutcome.from_dict(o)
+                               for o in payload["outcomes"])
+        merged.truncated += int(payload.get("truncated", 0))
     for result in results:
         # device.cache.* / device.pool.* are process-local scheduling
         # telemetry (how many warm hits and evictions each worker
         # happened to get), not a workload observable — folding them in
         # would make the merged campaign differ from the serial run by
         # construction.
-        stats.merge({k: v for k, v in result.stats.items()
-                     if not k.startswith(("device.cache.",
-                                          "device.pool."))})
-
-    merged = CampaignResult(seed=seed, stats=stats)
-    ordered = sorted(results, key=lambda r: int(r.payload["index_base"]))
-    for result in ordered:
-        merged.outcomes.extend(CaseOutcome.from_dict(o)
-                               for o in result.payload["outcomes"])
-        merged.truncated += int(result.payload.get("truncated", 0))
+        merged.stats.merge({k: v for k, v in result.stats.items()
+                            if not k.startswith(("device.cache.",
+                                                 "device.pool."))})
     return merged
 
 

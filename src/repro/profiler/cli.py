@@ -19,8 +19,9 @@ Attribution is self-checking: every subject's profile must reconcile
 additionally asserts the canonical (cycle) side of the profile is
 bit-identical under both engines.  Exit status is non-zero on any
 reconciliation failure or engine divergence.  ``--jobs N`` shards
-subjects across worker processes; the merged profile is identical to
-the serial one.
+subjects across worker processes; ``--jobs 0`` (the default) runs the
+same shard jobs inline, so the serial and sharded profiles are
+identical.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.engine import ENGINES, set_engine
-from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.spec import KINDS
-from repro.gpu.config import nvidia_config
-from repro.profiler.profile import ProfileSnapshot
 from repro.profiler.report import flame, render
-from repro.workloads.suite import RODINIA_FIG19
+from repro.profiler.runner import PROFILE_KIND, fold_profiles
+from repro.subjects import add_subject_args, resolve_subjects, run_engines
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -46,157 +43,28 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         description="Hierarchical cycle + wall-time attribution across "
                     "engine -> core -> pipeline stage -> shield "
                     "sub-step.")
-    parser.add_argument("--workloads", default="fig19",
-                        help="comma-separated benchmark names, 'fig19' "
-                             "for the 9 artifact workloads (default), or "
-                             "'none'")
-    parser.add_argument("--fuzz-cases", type=int, default=0,
-                        help="additionally profile N drawn fuzz cases "
-                             "(default 0)")
-    parser.add_argument("--kinds", default="safe",
-                        help="fuzz case kinds to draw (default: safe)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="fuzz draw seed / workload device seed "
-                             "(default 1)")
-    parser.add_argument("--engines", default="",
-                        help="comma-separated engines to profile under "
-                             "and compare (default: the process default)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for the parallel runner "
-                             "(0 = serial in-process)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count (default: jobs * 4, capped at "
-                             "the subject count)")
+    add_subject_args(parser, verb="profile",
+                     out_help="directory for profile.json (flame tree + "
+                              "counters) and profile.txt")
     parser.add_argument("--top", type=int, default=15,
                         help="frames in the top-N report (default 15)")
-    parser.add_argument("--out", default=None,
-                        help="directory for profile.json (flame tree + "
-                             "counters) and profile.txt")
     return parser.parse_args(argv)
-
-
-def _profile_serial(workloads, specs,
-                    seed: int) -> Tuple[ProfileSnapshot, List[dict]]:
-    from repro.profiler.collect import profile_benchmark, profile_case
-    config = nvidia_config(num_cores=1)
-    merged = ProfileSnapshot.empty()
-    rows: List[dict] = []
-    for name in workloads:
-        report = profile_benchmark(name, config=config, seed=seed)
-        merged = merged.merge(report.snapshot)
-        rows.append({"subject": report.subject,
-                     "cycles": report.record.cycles,
-                     "reconciled": report.reconciled,
-                     "mismatches": report.mismatches})
-    for spec in specs:
-        report = profile_case(spec, config=config)
-        merged = merged.merge(report.snapshot)
-        rows.append({"subject": report.subject,
-                     "cycles": report.record.cycles,
-                     "reconciled": report.reconciled,
-                     "mismatches": report.mismatches})
-    return merged, rows
-
-
-def _profile_parallel(args, workloads,
-                      specs) -> Optional[Tuple[ProfileSnapshot,
-                                               List[dict]]]:
-    from repro.profiler.runner import merge_profiles, plan_profile_shards
-    from repro.runner import HeartbeatReporter, run_jobs
-    jobs = max(args.jobs, 1)
-    plan = plan_profile_shards(workloads, specs, seed=args.seed,
-                               jobs=jobs, shards=args.shards)
-    reporter = HeartbeatReporter(len(plan), label="profile")
-    report = run_jobs(plan, jobs=jobs,
-                      run_name=f"profile-seed{args.seed}",
-                      out_dir=args.out, reporter=reporter,
-                      meta={"workloads": list(workloads),
-                            "cases": len(specs), "seed": args.seed})
-    try:
-        return merge_profiles([report.results[s.job_id] for s in plan])
-    except RuntimeError as exc:
-        print(f"profile incomplete: {exc}", file=sys.stderr)
-        return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
-
-    if args.workloads == "fig19":
-        workloads = list(RODINIA_FIG19)
-    elif args.workloads in ("none", ""):
-        workloads = []
-    else:
-        workloads = [w.strip() for w in args.workloads.split(",")
-                     if w.strip()]
-    from repro.workloads.suite import CUDA_BENCHMARKS
-    bad = [w for w in workloads if w not in CUDA_BENCHMARKS]
-    if bad:
-        print(f"unknown workloads: {bad} (see python -m repro list)",
-              file=sys.stderr)
+    subjects = resolve_subjects(args, verb="profile")
+    if subjects is None:
         return 2
-
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    bad = [k for k in kinds if k not in KINDS]
-    if bad:
-        print(f"unknown kinds: {bad} (have {list(KINDS)})",
-              file=sys.stderr)
+    outcome = run_engines(
+        args, subjects, kind=PROFILE_KIND, title="profile", verb="profile",
+        fold=fold_profiles,
+        render=lambda merged: render(*merged, top_n=args.top),
+        key=lambda merged: [merged[0].counters_digest()],
+        agreed="canonical profiles")
+    if outcome is None:
         return 2
-    gen = CaseGenerator(args.seed)
-    specs = [gen.draw_kind(kinds[i % len(kinds)], i)
-             for i in range(args.fuzz_cases)]
-    if not workloads and not specs:
-        print("nothing to profile (no workloads, no fuzz cases)",
-              file=sys.stderr)
-        return 2
-
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    bad = [e for e in engines if e not in ENGINES]
-    if bad:
-        print(f"unknown engines: {bad} (have {list(ENGINES)})",
-              file=sys.stderr)
-        return 2
-
-    if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot create --out directory {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    per_engine: dict = {}
-    for engine in engines or [""]:
-        previous = set_engine(engine) if engine else None
-        try:
-            if args.jobs > 0:
-                merged = _profile_parallel(args, workloads, specs)
-                if merged is None:
-                    return 2
-            else:
-                merged = _profile_serial(workloads, specs, args.seed)
-        finally:
-            if previous is not None:
-                set_engine(previous)
-        per_engine[engine or "default"] = merged
-        snapshot, rows = merged
-        label = f" [{engine}]" if engine else ""
-        print(f"profile{label}: {len(workloads)} workload(s), "
-              f"{len(specs)} fuzz case(s)")
-        print(render(snapshot, rows, top_n=args.top))
-
-    engine_mismatch = False
-    if len(per_engine) > 1:
-        digests = {eng: snap.counters_digest()
-                   for eng, (snap, _rows) in per_engine.items()}
-        if len(set(digests.values())) > 1:
-            engine_mismatch = True
-            print(f"ENGINE DIVERGENCE in canonical profile: {digests}",
-                  file=sys.stderr)
-        else:
-            print(f"canonical profiles identical across engines: "
-                  f"{', '.join(per_engine)}")
-
+    per_engine, engines_agree = outcome
     snapshot, rows = next(iter(per_engine.values()))
     failures = [r for r in rows if not r["reconciled"]]
 
@@ -208,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "flame": flame(snapshot),
             "profile": snapshot.to_dict(),
             "subjects": rows,
-            "ok": not failures and not engine_mismatch,
+            "ok": not failures and engines_agree,
         }
         with open(os.path.join(args.out, "profile.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -216,11 +84,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write(render(snapshot, rows, top_n=args.top) + "\n")
         print(f"\nartifacts written to {args.out}/")
 
-    if failures or engine_mismatch:
+    if failures or not engines_agree:
         print(f"\n{len(failures)} of {len(rows)} subject(s) failed to "
               f"reconcile with the stats registry"
-              + ("; engine divergence detected" if engine_mismatch
-                 else ""),
+              + ("" if engines_agree else "; engine divergence detected"),
               file=sys.stderr)
         return 1
     print(f"\nall {len(rows)} subject(s) reconciled exactly "

@@ -1,59 +1,29 @@
-"""Profiles on the parallel runner: shard, execute, merge.
+"""Profiles on the parallel runner: the ``profile.workload`` worker.
 
 A profile of N subjects (benchmark names and/or fuzz cases) becomes
-``profile.workload`` jobs, each a contiguous slice of the serial
-subject order.  Every shard profiles its slice on its own warm device
-and ships back one merged :class:`ProfileSnapshot` (as JSON) plus the
-per-subject rows.  Because snapshot merge is commutative and
-associative with the empty snapshot as identity, the parent's fold is
-bit-identical to the serial profile regardless of shard count or
-completion order — the property the merge property tests pin down.
+``profile.workload`` jobs, each a contiguous slice of the subject order
+(:func:`repro.subjects.run_engines` plans them with
+:func:`~repro.runner.shard.plan_slice_jobs`).  Every slice is profiled
+on its own warm device and ships back one merged
+:class:`ProfileSnapshot` (as JSON) plus the per-subject rows; this
+worker is the only per-subject profile loop.  Because snapshot merge is
+commutative and associative with the empty snapshot as identity,
+:func:`fold_profiles` is bit-identical to profiling every subject in
+one loop, regardless of shard count or completion order — the property
+the merge property tests pin down.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.fuzz.spec import CaseSpec
 from repro.gpu.config import nvidia_config
 from repro.profiler.collect import profile_benchmark, profile_case
 from repro.profiler.profile import ProfileSnapshot
-from repro.runner.job import JobContext, JobResult, JobSpec
-from repro.runner.shard import default_shard_count, plan_shards
+from repro.runner.job import JobContext
 
 PROFILE_KIND = "profile.workload"
-
-DEFAULT_PROFILE_TIMEOUT = 600.0
-
-
-def plan_profile_shards(workloads: Sequence[str],
-                        specs: Sequence[CaseSpec], *, seed: int,
-                        jobs: int, shards: Optional[int] = None,
-                        timeout: float = DEFAULT_PROFILE_TIMEOUT,
-                        max_retries: int = 1) -> List[JobSpec]:
-    """Cut one profile into contiguous shard jobs over the subjects.
-
-    Subjects are ordered workloads-first, then fuzz cases — the same
-    order the serial path uses, so ``index_base`` merging reproduces
-    the serial subject rows exactly.
-    """
-    subjects: List[dict] = ([{"workload": name} for name in workloads]
-                            + [{"case": s.to_dict()} for s in specs])
-    shards = shards or default_shard_count(len(subjects), jobs)
-    plan: List[JobSpec] = []
-    for shard in plan_shards(len(subjects), shards):
-        plan.append(JobSpec(
-            job_id=f"profile-{shard.index:04d}",
-            kind=PROFILE_KIND,
-            seed=seed,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=0.5,
-            payload={
-                "index_base": shard.start,
-                "subjects": subjects[shard.start:shard.stop],
-            }))
-    return plan
 
 
 def profile_shard_job(payload: dict, ctx: JobContext) -> dict:
@@ -63,7 +33,7 @@ def profile_shard_job(payload: dict, ctx: JobContext) -> dict:
     config = nvidia_config(num_cores=1)
     merged = ProfileSnapshot.empty()
     rows: List[dict] = []
-    for subject in payload["subjects"]:
+    for subject in payload["items"]:
         if "workload" in subject:
             report = profile_benchmark(subject["workload"], config=config,
                                        seed=ctx.spec.seed)
@@ -82,20 +52,12 @@ def profile_shard_job(payload: dict, ctx: JobContext) -> dict:
             "profile": merged.to_dict()}
 
 
-def merge_profiles(results: Sequence[JobResult],
-                   ) -> Tuple[ProfileSnapshot, List[dict]]:
-    """Fold shard results into (merged snapshot, serial-order rows)."""
-    failed = [r for r in results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in failed)
-        raise RuntimeError(f"{len(failed)} profile shard(s) failed "
-                           f"terminally: {detail}")
+def fold_profiles(payloads: Sequence[dict],
+                  ) -> Tuple[ProfileSnapshot, List[dict]]:
+    """Slice payloads (in subject order) -> (merged snapshot, rows)."""
     merged = ProfileSnapshot.empty()
     rows: List[dict] = []
-    for result in sorted(results,
-                         key=lambda r: int(r.payload["index_base"])):
-        merged = merged.merge(
-            ProfileSnapshot.from_dict(result.payload["profile"]))
-        rows.extend(result.payload["rows"])
+    for payload in payloads:
+        merged = merged.merge(ProfileSnapshot.from_dict(payload["profile"]))
+        rows.extend(payload["rows"])
     return merged, rows

@@ -1,57 +1,26 @@
-"""Race scans on the parallel runner: shard, execute, merge.
+"""Race scans on the parallel runner: the ``race.scan`` worker.
 
 A scan of N subjects (benchmark names and/or fuzz cases) becomes
-``race.scan`` jobs, each a contiguous slice of the serial subject
-order.  Shards are self-contained — benchmark names travel verbatim,
-fuzz specs as JSON — and every subject seeds its own warm device, so a
-shard's scans are independent of which process runs them: the merged
-scan is identical to the serial one, which the detector's
-shard-invariance test asserts verbatim.
+``race.scan`` jobs, each a contiguous slice of the subject order
+(:func:`repro.subjects.run_engines` plans them with
+:func:`~repro.runner.shard.plan_slice_jobs`).  Slices are self-contained
+— benchmark names travel verbatim, fuzz specs as JSON — and every
+subject seeds its own warm device, so a slice's scans are independent
+of which process runs them: the merged scan is identical for any shard
+count, including the inline ``--jobs 0`` run.  This worker is the only
+per-subject scan loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.fuzz.spec import CaseSpec
 from repro.gpu.config import nvidia_config
 from repro.racedetect.scan import scan_benchmark, scan_case
-from repro.runner.job import JobContext, JobResult, JobSpec
-from repro.runner.shard import default_shard_count, plan_shards
+from repro.runner.job import JobContext
 
 SCAN_KIND = "race.scan"
-
-DEFAULT_SCAN_TIMEOUT = 600.0
-
-
-def plan_race_shards(workloads: Sequence[str], specs: Sequence[CaseSpec],
-                     *, seed: int, jobs: int,
-                     shards: Optional[int] = None,
-                     timeout: float = DEFAULT_SCAN_TIMEOUT,
-                     max_retries: int = 1) -> List[JobSpec]:
-    """Cut one scan into contiguous shard jobs over the subject list.
-
-    Subjects are ordered workloads-first, then fuzz cases — the same
-    order the serial path uses, so ``index_base`` merging reproduces
-    the serial result exactly.
-    """
-    subjects: List[dict] = ([{"workload": name} for name in workloads]
-                            + [{"case": s.to_dict()} for s in specs])
-    shards = shards or default_shard_count(len(subjects), jobs)
-    plan: List[JobSpec] = []
-    for shard in plan_shards(len(subjects), shards):
-        plan.append(JobSpec(
-            job_id=f"race-{shard.index:04d}",
-            kind=SCAN_KIND,
-            seed=seed,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=0.5,
-            payload={
-                "index_base": shard.start,
-                "subjects": subjects[shard.start:shard.stop],
-            }))
-    return plan
 
 
 def race_scan_job(payload: dict, ctx: JobContext) -> dict:
@@ -60,11 +29,12 @@ def race_scan_job(payload: dict, ctx: JobContext) -> dict:
     counters.update({"workloads": 0, "cases": 0, "races": 0,
                      "contract_failures": 0})
     config = nvidia_config(num_cores=1)
+    full = bool(payload["full_report"])
     results: List[dict] = []
-    for subject in payload["subjects"]:
+    for subject in payload["items"]:
         if "workload" in subject:
             scan = scan_benchmark(subject["workload"], config=config,
-                                  seed=ctx.spec.seed)
+                                  seed=ctx.spec.seed, full_report=full)
             counters["workloads"] += 1
             ok = scan.ok and scan.dynamic_verdict == "race-free"
             results.append({"subject": subject["workload"],
@@ -74,7 +44,7 @@ def race_scan_job(payload: dict, ctx: JobContext) -> dict:
                 counters["contract_failures"] += 1
         else:
             spec = CaseSpec.from_dict(dict(subject["case"]))
-            case = scan_case(spec, config=config)
+            case = scan_case(spec, config=config, full_report=full)
             counters["cases"] += 1
             counters["races"] += case.scan.races
             results.append({"subject": spec.case_id,
@@ -82,17 +52,3 @@ def race_scan_job(payload: dict, ctx: JobContext) -> dict:
             if not case.ok:
                 counters["contract_failures"] += 1
     return {"index_base": payload["index_base"], "results": results}
-
-
-def merge_scans(results: Sequence[JobResult]) -> List[dict]:
-    """Fold shard results back into one serial-order result list."""
-    failed = [r for r in results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in failed)
-        raise RuntimeError(f"{len(failed)} race scan shard(s) failed "
-                           f"terminally: {detail}")
-    merged: List[dict] = []
-    for result in sorted(results, key=lambda r: int(r.payload["index_base"])):
-        merged.extend(result.payload["results"])
-    return merged

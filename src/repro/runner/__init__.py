@@ -4,7 +4,8 @@ The subsystem every campaign and sweep schedules through:
 
 * :mod:`repro.runner.job`      — JobSpec/JobResult model, fingerprints;
 * :mod:`repro.runner.kinds`    — job-kind registry (entrypoints);
-* :mod:`repro.runner.shard`    — deterministic sharding planner;
+* :mod:`repro.runner.shard`    — deterministic sharding planner and the
+  slice-job plan/merge every sharded campaign uses;
 * :mod:`repro.runner.pool`     — crash-isolated worker pool (timeouts,
   bounded retry with backoff);
 * :mod:`repro.runner.journal`  — JSONL checkpoint journal / resume;
@@ -20,5 +21,5 @@ from repro.runner.journal import Journal, JournalState, load_journal
 from repro.runner.kinds import register, resolve
 from repro.runner.pool import WorkerPool, execute_attempt
 from repro.runner.reporter import HeartbeatReporter
-from repro.runner.shard import (Shard, default_shard_count, plan_shards,
-                                shard_items)
+from repro.runner.shard import (Shard, default_shard_count, merge_slices,
+                                plan_shards, plan_slice_jobs, shard_items)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import hashlib
 
@@ -46,9 +46,7 @@ from repro.device import acquire_device, release_device
 from repro.device import memo as warm_memo
 from repro.fuzz.generator import ShieldMutator, build_workload
 from repro.gpu.config import GPUConfig, nvidia_config
-from repro.runner.job import JobContext, JobSpec
-from repro.runner.shard import default_shard_count, plan_shards
-from repro.service.scheduler import Placement
+from repro.runner.job import JobContext
 from repro.service.tenant import buffer_namespace
 from repro.service.traffic import ServiceRequest
 
@@ -291,39 +289,12 @@ def execute_placement(placement, *, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def plan_service_shards(placements: Sequence[Placement], *, seed: int,
-                        jobs: int, shards: Optional[int] = None,
-                        num_cores: int = SERVICE_NUM_CORES,
-                        fail_every: int = 0,
-                        timeout: float = DEFAULT_SHARD_TIMEOUT,
-                        max_retries: int = 1) -> List[JobSpec]:
-    """Cut the plan into contiguous, self-contained shard jobs."""
-    shards = shards or default_shard_count(len(placements), jobs)
-    plan: List[JobSpec] = []
-    for shard in plan_shards(len(placements), shards):
-        chunk = placements[shard.start:shard.stop]
-        plan.append(JobSpec(
-            job_id=f"service-{shard.index:04d}",
-            kind=SERVICE_KIND,
-            seed=seed,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=0.5,
-            payload={
-                "index_base": shard.start,
-                "placements": [p.to_dict() for p in chunk],
-                "num_cores": num_cores,
-                "fail_every": fail_every,
-            }))
-    return plan
-
-
 def run_service_shard(payload: dict, ctx: JobContext) -> dict:
     """Worker entrypoint (kind ``service.shard``): one plan slice."""
     results = [execute_placement(wire, seed=ctx.spec.seed,
                                  num_cores=int(payload["num_cores"]),
                                  fail_every=int(payload["fail_every"]))
-               for wire in payload["placements"]]
+               for wire in payload["items"]]
     counters = ctx.stats.counters("service.exec")
     counters["placements"] = len(results)
     counters["resets"] = sum(r["resets"] for r in results)

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.stats import StatsRegistry
 from repro.runner.job import OK, TIMEOUT
 from repro.service.audit import AuditEvent, audit_digest, order_events
-from repro.service.executor import (SERVICE_NUM_CORES, execute_placement,
-                                    plan_service_shards)
+from repro.runner.shard import merge_slices, plan_slice_jobs
+from repro.service.executor import (DEFAULT_SHARD_TIMEOUT, SERVICE_KIND,
+                                    SERVICE_NUM_CORES, execute_placement)
 from repro.service.scheduler import (SHED, SchedulerConfig, ServicePlan,
                                      schedule)
 from repro.service.tenant import TenantSpec, default_tenants
@@ -186,22 +187,18 @@ def _execute_plan(cfg: ServiceConfig, plan: ServicePlan, *, jobs: int,
                                      for e in r["entries"])
         return results
     from repro.runner import run_jobs
-    shard_plan = plan_service_shards(plan.placements, seed=cfg.seed,
-                                     jobs=jobs, num_cores=cfg.num_cores,
-                                     fail_every=cfg.fail_every)
+    shard_plan = plan_slice_jobs(
+        SERVICE_KIND, [p.to_dict() for p in plan.placements],
+        seed=cfg.seed, jobs=jobs, timeout=DEFAULT_SHARD_TIMEOUT,
+        num_cores=cfg.num_cores, fail_every=cfg.fail_every)
     report = run_jobs(shard_plan, jobs=jobs,
                       run_name=f"service-seed{cfg.seed}",
                       reporter=reporter)
-    if report.failures:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in report.failures)
-        raise RuntimeError(f"{len(report.failures)} service shard(s) "
-                           f"failed terminally: {detail}")
+    shard_results = [report.results[s.job_id] for s in shard_plan]
     results: List[dict] = []
-    ordered = sorted((report.results[s.job_id] for s in shard_plan),
-                     key=lambda r: int(r.payload["index_base"]))
-    for result in ordered:
-        results.extend(result.payload["placements"])
+    for payload in merge_slices(shard_results, "service"):
+        results.extend(payload["placements"])
+    for result in shard_results:
         stats.merge({k: v for k, v in result.stats.items()
                      if not k.startswith(_EXCLUDED_STATS_PREFIXES)})
     return results

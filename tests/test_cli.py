@@ -98,56 +98,41 @@ class TestBenchCliErrors:
         assert "cannot write" in capsys.readouterr().err
 
 
-class TestRaceCliErrors:
-    def test_unknown_workloads(self, capsys):
+#: Bad input every subject CLI (race, profile) must reject with exit 2:
+#: case -> (argv, stderr fragment).  ``{out}`` stands for a path whose
+#: parent is a file, so ``--out`` cannot be created.
+_SUBJECT_BAD_INPUT = {
+    "unknown_workloads": (["--workloads", "bogus"], "unknown workloads"),
+    "unknown_kinds": (["--workloads", "none", "--fuzz-cases", "1",
+                       "--kinds", "bogus"], "unknown kinds"),
+    "empty_kinds": (["--workloads", "none", "--fuzz-cases", "1",
+                     "--kinds", " ,"], "unknown kinds"),
+    "unknown_engines": (["--workloads", "none", "--fuzz-cases", "1",
+                         "--engines", "warp9"], "unknown engines"),
+    "nothing_to_do": (["--workloads", "none", "--fuzz-cases", "0"],
+                      "nothing to"),
+    "negative_jobs": (["--workloads", "none", "--fuzz-cases", "1",
+                       "--jobs", "-1"], "must not be negative"),
+    "negative_shards": (["--workloads", "none", "--fuzz-cases", "1",
+                         "--shards", "-2"], "must not be negative"),
+    "uncreatable_out": (["--workloads", "none", "--fuzz-cases", "1",
+                         "--out", "{out}"], "cannot create"),
+}
+
+
+class TestSubjectCliErrors:
+    @pytest.mark.parametrize("case", sorted(_SUBJECT_BAD_INPUT))
+    @pytest.mark.parametrize("cli", ["race", "profile"])
+    def test_bad_input_exits_2(self, cli, case, tmp_path, capsys):
+        from repro.profiler.cli import main as profile_main
         from repro.racedetect.cli import main as race_main
-        assert race_main(["--workloads", "bogus"]) == 2
-        assert "unknown workloads" in capsys.readouterr().err
-
-    def test_unknown_kinds(self, capsys):
-        from repro.racedetect.cli import main as race_main
-        assert race_main(["--workloads", "none", "--fuzz-cases", "1",
-                          "--kinds", "bogus"]) == 2
-        assert "unknown kinds" in capsys.readouterr().err
-
-    def test_nothing_to_scan(self, capsys):
-        from repro.racedetect.cli import main as race_main
-        assert race_main(["--workloads", "none",
-                          "--fuzz-cases", "0"]) == 2
-        assert capsys.readouterr().err
-
-
-class TestProfileCliErrors:
-    def test_unknown_workloads(self, capsys):
-        from repro.profiler.cli import main as profile_main
-        assert profile_main(["--workloads", "bogus"]) == 2
-        assert "unknown workloads" in capsys.readouterr().err
-
-    def test_unknown_kinds(self, capsys):
-        from repro.profiler.cli import main as profile_main
-        assert profile_main(["--workloads", "none", "--fuzz-cases", "1",
-                             "--kinds", "bogus"]) == 2
-        assert "unknown kinds" in capsys.readouterr().err
-
-    def test_unknown_engines(self, capsys):
-        from repro.profiler.cli import main as profile_main
-        assert profile_main(["--workloads", "none", "--fuzz-cases", "1",
-                             "--engines", "warp9"]) == 2
-        assert "unknown engines" in capsys.readouterr().err
-
-    def test_nothing_to_profile(self, capsys):
-        from repro.profiler.cli import main as profile_main
-        assert profile_main(["--workloads", "none"]) == 2
-        assert "nothing to profile" in capsys.readouterr().err
-
-    def test_uncreatable_out_dir(self, tmp_path, capsys):
-        from repro.profiler.cli import main as profile_main
         blocker = tmp_path / "file"
         blocker.write_text("")
-        out = str(blocker / "nested")   # parent is a file
-        assert profile_main(["--workloads", "none", "--fuzz-cases", "1",
-                             "--out", out]) == 2
-        assert "cannot create" in capsys.readouterr().err
+        argv, fragment = _SUBJECT_BAD_INPUT[case]
+        argv = [a.format(out=blocker / "nested") for a in argv]
+        cli_main = race_main if cli == "race" else profile_main
+        assert cli_main(argv) == 2
+        assert fragment in capsys.readouterr().err
 
 
 class TestServeOracleCliErrors:

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from repro.analysis.stats import StatsRegistry
 from repro.fuzz.generator import CaseGenerator
 from repro.profiler.profile import ProfileSnapshot
-from repro.profiler.runner import (PROFILE_KIND, merge_profiles,
-                                   plan_profile_shards,
+from repro.gpu.config import nvidia_config
+from repro.profiler.collect import profile_case
+from repro.profiler.runner import (PROFILE_KIND, fold_profiles,
                                    profile_shard_job)
-from repro.runner.job import JobContext, JobResult
+from repro.runner import JobContext, JobResult, merge_slices, plan_slice_jobs
+from repro.subjects import Subjects
 
 _PATHS = st.sampled_from([
     f"cores.{cid}.{key}"
@@ -88,16 +90,25 @@ def _run_shard(spec) -> JobResult:
 
 class TestSerialVsSharded:
     def test_fuzz_slice_profiles_identically(self):
-        from repro.profiler.cli import _profile_serial
         specs = [CaseGenerator(1).draw_kind("safe", i) for i in range(8)]
-        serial_snap, serial_rows = _profile_serial([], specs, seed=1)
+        config = nvidia_config(num_cores=1)
+        serial_snap, serial_rows = ProfileSnapshot.empty(), []
+        for spec in specs:
+            report = profile_case(spec, config=config)
+            serial_snap = serial_snap.merge(report.snapshot)
+            serial_rows.append({"subject": report.subject,
+                                "cycles": report.record.cycles,
+                                "reconciled": report.reconciled,
+                                "mismatches": report.mismatches})
 
-        plan = plan_profile_shards([], specs, seed=1, jobs=3)
+        plan = plan_slice_jobs(PROFILE_KIND, Subjects([], specs, []).items(),
+                               seed=1, jobs=3, timeout=600.0)
         assert len(plan) > 1
         assert all(s.kind == PROFILE_KIND for s in plan)
         # Fold in reversed completion order: merge order must not matter.
         results = [_run_shard(s) for s in reversed(plan)]
-        sharded_snap, sharded_rows = merge_profiles(results)
+        sharded_snap, sharded_rows = fold_profiles(
+            merge_slices(results, "profile"))
 
         assert sharded_snap == serial_snap
         assert sharded_snap.wall_ns.keys() == serial_snap.wall_ns.keys()
@@ -109,4 +120,4 @@ class TestSerialVsSharded:
         bad = JobResult(job_id="profile-0000", status="crashed",
                         error="boom")
         with pytest.raises(RuntimeError, match="boom"):
-            merge_profiles([bad])
+            merge_slices([bad], "profile")

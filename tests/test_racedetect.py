@@ -306,18 +306,51 @@ class TestEngineInvariance:
 
 class TestShardInvariance:
     def test_parallel_scan_matches_serial(self):
-        from repro.racedetect.cli import _scan_serial, _summary_key
-        from repro.racedetect.runner import merge_scans, plan_race_shards
-        from repro.runner import run_jobs
+        from repro.racedetect.cli import _summary_key
+        from repro.racedetect.runner import SCAN_KIND
+        from repro.runner import merge_slices, plan_slice_jobs, run_jobs
+        from repro.subjects import Subjects
         specs = [CaseGenerator(1).draw_kind("safe", i) for i in range(4)]
         workloads = ["bfs"]
-        serial = _scan_serial(workloads, specs, 11, False)
-        plan = plan_race_shards(workloads, specs, seed=11, jobs=2)
+        config = nvidia_config(num_cores=1)
+        serial = []
+        for name in workloads:
+            scan = scan_benchmark(name, config=config, seed=11)
+            serial.append({"subject": name, "scan": scan.to_dict(),
+                           "ok": scan.ok
+                           and scan.dynamic_verdict == "race-free"})
+        for spec in specs:
+            case = scan_case(spec, config=config)
+            serial.append({"subject": spec.case_id, "case": case.to_dict(),
+                           "ok": case.ok})
+        plan = plan_slice_jobs(SCAN_KIND,
+                               Subjects(workloads, specs, []).items(),
+                               seed=11, jobs=2, timeout=600.0,
+                               full_report=False)
         assert len(plan) > 1
         report = run_jobs(plan, jobs=2, run_name="race-test")
-        merged = merge_scans([report.results[s.job_id] for s in plan])
+        merged = [r for payload in merge_slices(
+            [report.results[s.job_id] for s in plan], "race scan")
+            for r in payload["results"]]
         assert ([_summary_key(r) for r in merged]
                 == [_summary_key(r) for r in serial])
+        assert merged == serial
+
+    def test_full_report_survives_sharding(self, tmp_path):
+        """``--full-report`` reaches the worker under every ``--jobs``."""
+        import json
+
+        from repro.racedetect.cli import main as race_main
+        scans = []
+        for jobs in (0, 1):
+            out = tmp_path / f"jobs{jobs}"
+            assert race_main(["--workloads", "none", "--fuzz-cases", "2",
+                              "--full-report", "--jobs", str(jobs),
+                              "--out", str(out)]) == 0
+            scans.append(json.loads((out / "race_scan.json").read_text()))
+        assert scans[0]["results"] == scans[1]["results"]
+        for result in scans[0]["results"]:
+            assert result["case"]["scan"]["static_report"] is not None
 
 
 # ---------------------------------------------------------------------------

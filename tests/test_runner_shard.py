@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runner import Shard, default_shard_count, plan_shards, shard_items
+from repro.runner import (JobResult, Shard, default_shard_count, merge_slices,
+                          plan_shards, plan_slice_jobs, shard_items)
 
 
 class TestPlanShards:
@@ -68,6 +69,70 @@ class TestDefaultShardCount:
     def test_validation(self):
         with pytest.raises(ValueError):
             default_shard_count(10, 0)
+
+
+#: Every sharded campaign's job kind and the job-id prefix it has always
+#: planned under (journals and manifests key on these ids).
+_KIND_PREFIXES = [("fuzz.shard", "fuzz"), ("race.scan", "race"),
+                  ("profile.workload", "profile"),
+                  ("service.shard", "service")]
+
+
+class TestSliceJobs:
+    @pytest.mark.parametrize("kind,prefix", _KIND_PREFIXES)
+    def test_slices_tile_items_with_the_kind_prefix(self, kind, prefix):
+        items = [{"n": i} for i in range(11)]
+        plan = plan_slice_jobs(kind, items, seed=7, jobs=2, timeout=60.0,
+                               shared="x")
+        assert [s.job_id for s in plan] \
+            == [f"{prefix}-{i:04d}" for i in range(8)]
+        assert {s.kind for s in plan} == {kind}
+        assert all(s.seed == 7 and s.timeout == 60.0 and s.max_retries == 1
+                   and s.retry_backoff == 0.5 for s in plan)
+        # Contiguous, ordered, complete: the slices concatenate back to
+        # the items and each index_base is the slice's offset.
+        assert [x for s in plan for x in s.payload["items"]] == items
+        offset = 0
+        for spec in plan:
+            assert spec.payload["index_base"] == offset
+            assert spec.payload["shared"] == "x"
+            assert set(spec.payload) == {"index_base", "items", "shared"}
+            offset += len(spec.payload["items"])
+
+    def test_shard_count_and_inline_jobs(self):
+        items = list(range(10))
+        assert len(plan_slice_jobs("race.scan", items, seed=1, jobs=0,
+                                   timeout=1.0)) == 4
+        assert len(plan_slice_jobs("race.scan", items, seed=1, jobs=2,
+                                   shards=3, timeout=1.0)) == 3
+        assert plan_slice_jobs("race.scan", [], seed=1, jobs=2,
+                               timeout=1.0) == []
+
+    @staticmethod
+    def _echo(plan):
+        return [JobResult(job_id=s.job_id, status="ok",
+                          payload={"index_base": s.payload["index_base"],
+                                   "got": s.payload["items"]})
+                for s in plan]
+
+    def test_merge_ignores_completion_order(self):
+        plan = plan_slice_jobs("profile.workload", list(range(13)), seed=1,
+                               jobs=1, timeout=1.0)
+        results = self._echo(plan)
+        merged = merge_slices(results, "profile")
+        assert merge_slices(list(reversed(results)), "profile") == merged
+        assert [x for p in merged for x in p["got"]] == list(range(13))
+
+    def test_crashed_shard_raises_with_id_and_status(self):
+        plan = plan_slice_jobs("fuzz.shard", list(range(6)), seed=1,
+                               jobs=1, timeout=1.0)
+        results = self._echo(plan)
+        results[2] = JobResult(job_id=plan[2].job_id, status="crashed",
+                               error="signal 9")
+        with pytest.raises(RuntimeError) as exc:
+            merge_slices(results, "fuzz")
+        assert str(exc.value) == ("1 fuzz shard(s) failed terminally: "
+                                  "fuzz-0002: crashed (signal 9)")
 
 
 def test_shard_is_frozen():
